@@ -52,18 +52,19 @@ metrics-smoke:
 	$(GO) test -run TestMetricsEndpointSmoke -count=1 ./internal/serve
 
 # golden re-runs the fixed-seed example scenarios and fails if any
-# per-packet departure-time digest moved a single bit. Regenerate after
-# an intentional semantic change with:
+# per-packet departure-time digest moved a single bit. It runs at
+# GOMAXPROCS 1 and 2 (-cpu 1,2): results must not depend on the core
+# count. Regenerate after an intentional semantic change with:
 #   go test -run TestGoldenTraces -update-golden .
 golden:
-	$(GO) test -run TestGoldenTraces -count=1 .
+	$(GO) test -run TestGoldenTraces -count=1 -cpu 1,2 .
 
 # resume-golden proves checkpointed resume is bit-identical: each golden
 # scenario is crashed at an epoch boundary, resumed from its snapshot,
 # and the resumed digest must equal both the uninterrupted run and the
-# committed golden digest (at Shards=1 and 8).
+# committed golden digest (at Shards=1 and 8), at GOMAXPROCS 1 and 2.
 resume-golden:
-	$(GO) test -run 'TestResume' -count=1 .
+	$(GO) test -run 'TestResume' -count=1 -cpu 1,2 .
 
 # analytic-gates bounds the degradation ladder's analytic tier against
 # the DES ground truth on every golden scenario (thresholds committed
@@ -81,16 +82,16 @@ analytic-gates:
 # quantized predict-stream variant and per-layer GEMM microbenches
 # price the blocked/quantized kernels; since PR 9 a
 # serve_saturation_brownout variant prices the graceful-degradation
-# ladder's overload brownout (tier breakdown included); since PR 10 a
-# serve_saturation_batched variant prices the shared inference plane and
-# serve_concurrency_sweep records completed req/s vs client count.
+# ladder's overload brownout (tier breakdown included); since PR 10
+# serve_concurrency_sweep records completed req/s vs client count on
+# the default serving path (re-recorded after the shared inference
+# plane was removed; see DESIGN.md §13).
 bench:
 	$(GO) run ./cmd/dqnbench -out BENCH_pr10.json
 
 # bench-check reruns the harness and fails on a >15% ns/op or any
 # allocs/op regression against the committed BENCH_pr10.json (carried
-# forward from BENCH_pr9; the PR 10 plane keeps the plain serve path's
-# alloc profile intact, which the gate continues to hold the line on).
+# forward from BENCH_pr9).
 bench-check:
 	$(GO) run ./cmd/dqnbench -check BENCH_pr10.json
 

@@ -43,7 +43,6 @@ import (
 	"deepqueuenet/internal/guard"
 	"deepqueuenet/internal/metrics"
 	"deepqueuenet/internal/obs"
-	"deepqueuenet/internal/plane"
 	"deepqueuenet/internal/ptm"
 	"deepqueuenet/internal/rng"
 	"deepqueuenet/internal/serve"
@@ -305,9 +304,8 @@ func benchDefs() []benchDef {
 		{"e2e_fattree16_ckpt", func() (Bench, error) {
 			return benchE2ECkpt("e2e_fattree16_ckpt", topo.FatTree(topo.FatTree16, topo.DefaultLAN), traffic.ModelMAP, 0.5, 0.0002, 11)
 		}},
-		{"serve_saturation", func() (Bench, error) { return benchServe("serve_saturation", false, false) }},
-		{"serve_saturation_brownout", func() (Bench, error) { return benchServe("serve_saturation_brownout", true, false) }},
-		{"serve_saturation_batched", func() (Bench, error) { return benchServe("serve_saturation_batched", false, true) }},
+		{"serve_saturation", func() (Bench, error) { return benchServe("serve_saturation", false) }},
+		{"serve_saturation_brownout", func() (Bench, error) { return benchServe("serve_saturation_brownout", true) }},
 		{"serve_concurrency_sweep", func() (Bench, error) { return benchServeSweep("serve_concurrency_sweep") }},
 	}
 }
@@ -519,11 +517,8 @@ func benchE2ECfg(name string, g *topo.Graph, tm traffic.Model, load, dur float64
 // pressure. It reports completed requests/s and the shed rate alongside
 // the usual ns/op and allocs/op gates. With brownout on, the same
 // episode answers its overflow analytically instead of shedding — the
-// Tiers breakdown prices what the extra availability costs. With
-// batched on, every device call routes through a shared inference plane
-// so concurrent requests coalesce onto warm per-model workers — the
-// _batched variant prices the plane against the plain path.
-func benchServe(name string, brownout, batched bool) (Bench, error) {
+// Tiers breakdown prices what the extra availability costs.
+func benchServe(name string, brownout bool) (Bench, error) {
 	// A small PTM keeps the episode dominated by serving mechanics
 	// (admission, queueing, breaker bookkeeping) rather than inference.
 	serveArch := ptm.Arch{TimeSteps: 8, Margin: 2, Embed: 4, BLSTM1: 4, BLSTM2: 4, Heads: 1, DK: 2, DV: 2, HeadOut: 4}
@@ -532,17 +527,10 @@ func benchServe(name string, brownout, batched bool) (Bench, error) {
 		return Bench{}, err
 	}
 	runner := &serve.ScenarioRunner{DefaultModel: model, MaxShards: 2}
-	cfg := serve.Config{
+	srv, err := serve.New(serve.Config{
 		Workers: 2, QueueDepth: 2, RetryMax: -1,
 		DefaultTimeout: 30 * time.Second, Seed: 1, Brownout: brownout,
-	}
-	if batched {
-		pl := plane.New(plane.Config{MaxBatch: 16})
-		defer pl.Close()
-		runner.Plane = pl
-		cfg.Plane = pl
-	}
-	srv, err := serve.New(cfg, runner)
+	}, runner)
 	if err != nil {
 		return Bench{}, err
 	}
@@ -617,11 +605,10 @@ func benchServe(name string, brownout, batched bool) (Bench, error) {
 	return out, nil
 }
 
-// benchServeSweep drives the batched serving stack at increasing client
-// counts (2, 4, 8, 16 concurrent clients, 2 requests each) and records
-// the completed-request throughput per level in the Sweep map — the
-// shape of the curve shows how far the shared inference plane's
-// cross-request coalescing carries before the CPU floor flattens it.
+// benchServeSweep drives the serving stack at increasing client counts
+// (2, 4, 8, 16 concurrent clients, 2 requests each) and records the
+// completed-request throughput per level in the Sweep map — the shape
+// of the curve shows where the worker pool and the CPU floor flatten it.
 // One op is the full sweep, so ns/op gates the whole curve.
 func benchServeSweep(name string) (Bench, error) {
 	serveArch := ptm.Arch{TimeSteps: 8, Margin: 2, Embed: 4, BLSTM1: 4, BLSTM2: 4, Heads: 1, DK: 2, DV: 2, HeadOut: 4}
@@ -629,14 +616,12 @@ func benchServeSweep(name string) (Bench, error) {
 	if err != nil {
 		return Bench{}, err
 	}
-	pl := plane.New(plane.Config{MaxBatch: 16})
-	defer pl.Close()
-	runner := &serve.ScenarioRunner{DefaultModel: model, MaxShards: 2, Plane: pl}
+	runner := &serve.ScenarioRunner{DefaultModel: model, MaxShards: 2}
 	srv, err := serve.New(serve.Config{
 		// Deep enough that no level sheds: the sweep measures completed
 		// throughput vs offered concurrency, not admission control.
 		Workers: 2, QueueDepth: 64, RetryMax: -1,
-		DefaultTimeout: 30 * time.Second, Seed: 1, Plane: pl,
+		DefaultTimeout: 30 * time.Second, Seed: 1,
 	}, runner)
 	if err != nil {
 		return Bench{}, err

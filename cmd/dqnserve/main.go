@@ -31,7 +31,6 @@ import (
 	"deepqueuenet/internal/core"
 	"deepqueuenet/internal/guard"
 	"deepqueuenet/internal/obs"
-	"deepqueuenet/internal/plane"
 	"deepqueuenet/internal/ptm"
 	"deepqueuenet/internal/serve"
 )
@@ -60,9 +59,6 @@ func run(args []string) error {
 	maxDur := fs.Float64("max-duration", 0.01, "cap on simulated seconds per request")
 	retries := fs.Int("retries", 2, "retry budget for transient job failures")
 	brownout := fs.Bool("brownout", false, "answer overloaded or deadline-short requests at reduced fidelity (quantized or analytic) instead of shedding; fidelity \"exact\" requests are never browned out")
-	planeOn := fs.Bool("plane", true, "route device inference through the shared cross-request batching plane (warm per-model workers, bit-identical results)")
-	planeBatch := fs.Int("plane-batch", 16, "plane micro-batch size: flush when this many device calls have coalesced")
-	planeDelayUs := fs.Int("plane-delay-us", 0, "plane micro-batch deadline in µs: wait at most this long for a batch to fill (0: natural batching, no added latency)")
 	brThreshold := fs.Int("breaker-threshold", 5, "consecutive failures that open a model-path breaker")
 	brCooldown := fs.Duration("breaker-cooldown", 5*time.Second, "open-breaker cooldown before half-open probes")
 	brProbes := fs.Int("breaker-probes", 2, "successful probes required to close a breaker")
@@ -116,17 +112,6 @@ func run(args []string) error {
 	if *stateDir != "" {
 		runner.Checkpoints = obs.NewCheckpointMetrics(reg)
 	}
-	var pl *plane.Plane
-	if *planeOn {
-		pl = plane.New(plane.Config{
-			MaxBatch: *planeBatch,
-			MaxDelay: time.Duration(*planeDelayUs) * time.Microsecond,
-			Metrics:  plane.NewMetrics(reg),
-		})
-		defer pl.Close()
-		runner.Plane = pl
-		fmt.Printf("shared inference plane enabled (batch=%d delay=%dµs)\n", *planeBatch, *planeDelayUs)
-	}
 	var jobRunner serve.Runner = runner
 	if *chaosPanic > 0 || *chaosNaN > 0 || *chaosLatency > 0 || *chaosCancel > 0 {
 		inj := chaos.New(chaos.Config{
@@ -153,7 +138,7 @@ func run(args []string) error {
 		Workers: *workers, QueueDepth: *queueDepth,
 		DefaultTimeout: *timeout, MaxTimeout: *maxTimeout,
 		RetryMax: *retries, Seed: *seed, Brownout: *brownout,
-		MaxBodyBytes: *maxBody, Metrics: reg, Logger: logger, Plane: pl,
+		MaxBodyBytes: *maxBody, Metrics: reg, Logger: logger,
 		StateDir: *stateDir, CheckpointEvery: *ckptEvery,
 		Breaker: serve.BreakerConfig{Threshold: *brThreshold, Cooldown: *brCooldown, ProbeSuccesses: *brProbes},
 	}, jobRunner)

@@ -42,6 +42,42 @@ func TestTopoByName(t *testing.T) {
 	}
 }
 
+// TestTopoByNameRejectsDegenerateSizes pins the minimum size of every
+// parameterized topology: below it TopoByName must return an error
+// instead of letting the builder panic, and at it the graph must build.
+func TestTopoByNameRejectsDegenerateSizes(t *testing.T) {
+	cases := []struct {
+		min   string
+		below []string
+	}{
+		{"line2", []string{"line1", "line0", "line-2"}},
+		{"star2", []string{"star1", "star0", "star-3"}},
+		{"torus2x2", []string{"torus1x1", "torus0x4", "torus4x1", "torus-2x3"}},
+		{"leafspine1x1x1", []string{"leafspine0x0x0", "leafspine0x2x2", "leafspine2x0x2", "leafspine2x2x0"}},
+		{"dumbbell1", []string{"dumbbell0", "dumbbell-1"}},
+	}
+	for _, c := range cases {
+		g, err := TopoByName(c.min)
+		if err != nil {
+			t.Errorf("%s: %v", c.min, err)
+		} else if err := g.Validate(); err != nil {
+			t.Errorf("%s: %v", c.min, err)
+		}
+		for _, name := range c.below {
+			func() {
+				defer func() {
+					if r := recover(); r != nil {
+						t.Errorf("%s: panicked: %v", name, r)
+					}
+				}()
+				if g, err := TopoByName(name); err == nil {
+					t.Errorf("%s accepted (%d nodes)", name, g.NumNodes())
+				}
+			}()
+		}
+	}
+}
+
 func TestSchedByName(t *testing.T) {
 	c, err := SchedByName("fifo")
 	if err != nil || c.Kind != des.FIFO {

@@ -38,14 +38,14 @@ func TopoByName(name string) (*topo.Graph, error) {
 		}
 		r, err1 := strconv.Atoi(parts[0])
 		c, err2 := strconv.Atoi(parts[1])
-		if err1 != nil || err2 != nil {
-			return nil, fmt.Errorf("experiments: bad torus topology %q", name)
+		if err1 != nil || err2 != nil || r < 2 || c < 2 {
+			return nil, fmt.Errorf("experiments: bad torus topology %q (want at least 2x2)", name)
 		}
 		return topo.Torus2D(r, c, topo.DefaultLAN), nil
 	case strings.HasPrefix(l, "star"):
 		n, err := strconv.Atoi(l[4:])
-		if err != nil {
-			return nil, fmt.Errorf("experiments: bad star topology %q", name)
+		if err != nil || n < 2 {
+			return nil, fmt.Errorf("experiments: bad star topology %q (want at least 2 hosts)", name)
 		}
 		return topo.Star(n, topo.DefaultLAN), nil
 	case strings.HasPrefix(l, "leafspine"):
@@ -57,14 +57,14 @@ func TopoByName(name string) (*topo.Graph, error) {
 		lv, err1 := strconv.Atoi(parts[0])
 		sp, err2 := strconv.Atoi(parts[1])
 		hp, err3 := strconv.Atoi(parts[2])
-		if err1 != nil || err2 != nil || err3 != nil {
-			return nil, fmt.Errorf("experiments: bad leaf-spine topology %q", name)
+		if err1 != nil || err2 != nil || err3 != nil || lv < 1 || sp < 1 || hp < 1 {
+			return nil, fmt.Errorf("experiments: bad leaf-spine topology %q (want every size at least 1)", name)
 		}
 		return topo.LeafSpine(lv, sp, hp, topo.DefaultLAN), nil
 	case strings.HasPrefix(l, "dumbbell"):
 		n, err := strconv.Atoi(l[8:])
-		if err != nil {
-			return nil, fmt.Errorf("experiments: bad dumbbell topology %q", name)
+		if err != nil || n < 1 {
+			return nil, fmt.Errorf("experiments: bad dumbbell topology %q (want at least 1 host per side)", name)
 		}
 		return topo.Dumbbell(n, topo.DefaultLAN, topo.DefaultLAN.RateBps/10), nil
 	}

@@ -53,9 +53,10 @@ type modelEntry struct {
 	digest string
 	quant  *ptm.PTM
 	// noSEC maps a parent variant (base or quant) to its SEC-stripped
-	// clone. Resolving NoSEC here — instead of per shard inside the
-	// engine — keeps a request's model a stable identity, which the
-	// inference plane keys its warm workers on.
+	// clone. Resolving NoSEC here — instead of in the engine, whose
+	// resolveModel makes one WithoutSEC copy per switch — keeps a
+	// request's model one identity, so the engine's per-shard clone
+	// cache clones it once per shard.
 	noSEC map[*ptm.PTM]*ptm.PTM
 }
 

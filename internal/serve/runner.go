@@ -18,7 +18,6 @@ import (
 	"deepqueuenet/internal/experiments"
 	"deepqueuenet/internal/metrics"
 	"deepqueuenet/internal/obs"
-	"deepqueuenet/internal/plane"
 	"deepqueuenet/internal/ptm"
 	"deepqueuenet/internal/topo"
 )
@@ -220,11 +219,6 @@ type ScenarioRunner struct {
 	// to the runner (cmd/dqnserve does this under -quant) so there is no
 	// mutation after the runner starts serving.
 	Quantize bool
-	// Plane, when non-nil, routes every device prediction through the
-	// shared cross-request inference plane: the resolved model is
-	// wrapped in a plane handle (innermost, below WrapDevice) so all
-	// concurrent jobs sharing a model coalesce onto one warm worker.
-	Plane *plane.Plane
 	// CacheEvictions, when non-nil, counts runner cache entries dropped
 	// by the LRU bounds (model registry and topology digests).
 	CacheEvictions *obs.Counter
@@ -265,9 +259,10 @@ func (r *ScenarioRunner) entry(path string) (*modelEntry, error) {
 // from the warm registry: the base model, its int8-quantized variant,
 // and SEC-stripped variants are each built once per path and shared
 // read-only across every concurrent request. NoSEC is resolved here
-// rather than per shard inside the engine (bit-identical — the same
-// clone the engine would build, built once), so a request's model is a
-// stable identity the inference plane can key its warm workers on.
+// rather than by the engine (bit-identical — the same copy the engine
+// would build, built once): the engine's resolveModel makes a fresh
+// WithoutSEC copy for every switch, and each distinct copy misses the
+// engine's per-shard clone cache.
 func (r *ScenarioRunner) resolve(req *Request, mode RunMode) (*ptm.PTM, *modelEntry, error) {
 	e, err := r.entry(req.Model)
 	if err != nil {
@@ -283,27 +278,6 @@ func (r *ScenarioRunner) resolve(req *Request, mode RunMode) (*ptm.PTM, *modelEn
 		m = e.withoutSEC(m)
 	}
 	return m, e, nil
-}
-
-// deviceWrap composes the per-run device wrapper: the shared plane
-// handle innermost, the configured WrapDevice (chaos injection) on top
-// — injected faults fire in the submitting shard goroutine, where the
-// engine's guard expects them, while the plane's warm worker only ever
-// runs the true model.
-func (r *ScenarioRunner) deviceWrap(req *Request) func(int, core.DeviceModel) core.DeviceModel {
-	user := r.WrapDevice
-	pl := r.Plane
-	if pl == nil {
-		return user
-	}
-	tag := req.modelKey()
-	return func(id int, m core.DeviceModel) core.DeviceModel {
-		var d core.DeviceModel = pl.Wrap(m, tag)
-		if user != nil {
-			d = user(id, d)
-		}
-		return d
-	}
 }
 
 // topoDigestFor caches the topology digest by topology name (the
@@ -425,8 +399,8 @@ func (r *ScenarioRunner) Run(ctx context.Context, req *Request, mode RunMode) (*
 		shards = maxShards
 	}
 	// NoSEC is resolved into the model by the registry below, not by the
-	// engine, so concurrent NoSEC and SEC requests for one path still
-	// share stable model identities (and hence plane workers).
+	// engine, so every switch of a NoSEC run shares one model identity
+	// and each shard clones it once.
 	cfg := core.Config{Shards: shards}
 	var model *ptm.PTM
 	var ent *modelEntry
@@ -441,7 +415,7 @@ func (r *ScenarioRunner) Run(ctx context.Context, req *Request, mode RunMode) (*
 		if err != nil {
 			return nil, err
 		}
-		cfg.WrapDevice = r.deviceWrap(req)
+		cfg.WrapDevice = r.WrapDevice
 	}
 	resumedFrom := 0
 	if req.CheckpointPath != "" && mode == RunExact {

@@ -21,7 +21,6 @@ import (
 
 	"deepqueuenet/internal/guard"
 	"deepqueuenet/internal/obs"
-	"deepqueuenet/internal/plane"
 	"deepqueuenet/internal/rng"
 )
 
@@ -76,12 +75,6 @@ type Config struct {
 	// analytic estimate) instead of returning 429 or running into the
 	// deadline. Requests with fidelity "exact" are never browned out.
 	Brownout bool
-	// Plane, when non-nil, is the shared cross-request inference plane.
-	// The server folds its queue depth and measured batch latency into
-	// Retry-After estimates — under model-bound load the plane's warm
-	// workers, not the HTTP worker pool, are the clearing bottleneck.
-	// Wire the same plane into the runner (ScenarioRunner.Plane).
-	Plane *plane.Plane
 	// Metrics is the registry the server's observability series register
 	// in (exposed at GET /metrics). nil creates a private registry,
 	// reachable via Server.Metrics.
@@ -234,12 +227,6 @@ type Server struct {
 	met       *serverMetrics
 	avgRunNs  atomic.Int64 // EWMA of job wall time, drives Retry-After
 	estimator runEstimator // per-topology EWMA of exact run time, drives brownout
-
-	// planeStats reads the shared inference plane's live state (pending
-	// calls, EWMA flush seconds, EWMA batch size) for the Retry-After
-	// estimate; nil when no plane is attached. A func field so tests can
-	// pin both Retry-After regimes deterministically.
-	planeStats func() (depth int, avgSec, avgSize float64)
 }
 
 // New builds a Server and starts its worker pool. With Config.StateDir
@@ -255,12 +242,6 @@ func New(cfg Config, runner Runner) (*Server, error) {
 		closed:   make(chan struct{}),
 		breakers: make(map[string]*Breaker),
 		jitter:   rng.New(cfg.Seed),
-	}
-	if p := cfg.Plane; p != nil {
-		s.planeStats = func() (int, float64, float64) {
-			sec, size := p.BatchStats()
-			return p.Depth(), sec, size
-		}
 	}
 	var recovered []*JobRecord
 	if cfg.StateDir != "" {
@@ -883,8 +864,7 @@ func (s *Server) observeRun(d time.Duration) {
 
 // RetryAfter estimates how long a shed client should wait before
 // retrying: the time for the current backlog to clear through the
-// worker pool — or, with a shared inference plane attached, through
-// the plane's warm workers if that is slower — clamped to [1s, 60s].
+// worker pool, clamped to [1s, 60s].
 func (s *Server) RetryAfter() time.Duration {
 	avg := time.Duration(s.avgRunNs.Load())
 	if avg <= 0 {
@@ -892,17 +872,6 @@ func (s *Server) RetryAfter() time.Duration {
 	}
 	backlog := len(s.queue) + int(s.stats.inflight.Load())
 	est := avg * time.Duration(backlog+1) / time.Duration(s.cfg.Workers)
-	if s.planeStats != nil {
-		if depth, sec, size := s.planeStats(); sec > 0 && size >= 1 {
-			// Model-bound load clears through the plane: depth pending
-			// device calls drain in ~depth/avgBatchSize flushes of
-			// avgBatchSec each (+1 for the retrying client's own work).
-			flushes := float64(depth)/size + 1
-			if p := time.Duration(flushes * sec * float64(time.Second)); p > est {
-				est = p
-			}
-		}
-	}
 	if est < time.Second {
 		est = time.Second
 	}
@@ -987,23 +956,23 @@ func (s *Server) Drain(ctx context.Context) error {
 
 // Stats is the observable server state (/stats payload).
 type Stats struct {
-	Received  uint64         `json:"received"`
-	Accepted  uint64         `json:"accepted"`
-	Completed uint64         `json:"completed"`
-	Failed    uint64         `json:"failed"`
-	Shed      uint64         `json:"shed"`
-	Rejected  uint64         `json:"rejected"`
-	Retries   uint64         `json:"retries"`
-	Canceled  uint64         `json:"canceled"`
-	Deadline  uint64         `json:"deadline_exceeded"`
-	Degraded  uint64         `json:"degraded"`
-	Brownouts uint64         `json:"brownouts"`
-	Panics    uint64         `json:"panics"`
-	InFlight  int64          `json:"in_flight"`
-	Queued    int            `json:"queued"`
-	Workers   int            `json:"workers"`
-	Queue     int            `json:"queue_depth"`
-	Draining  bool           `json:"draining"`
+	Received  uint64 `json:"received"`
+	Accepted  uint64 `json:"accepted"`
+	Completed uint64 `json:"completed"`
+	Failed    uint64 `json:"failed"`
+	Shed      uint64 `json:"shed"`
+	Rejected  uint64 `json:"rejected"`
+	Retries   uint64 `json:"retries"`
+	Canceled  uint64 `json:"canceled"`
+	Deadline  uint64 `json:"deadline_exceeded"`
+	Degraded  uint64 `json:"degraded"`
+	Brownouts uint64 `json:"brownouts"`
+	Panics    uint64 `json:"panics"`
+	InFlight  int64  `json:"in_flight"`
+	Queued    int    `json:"queued"`
+	Workers   int    `json:"workers"`
+	Queue     int    `json:"queue_depth"`
+	Draining  bool   `json:"draining"`
 	// Fidelity counts completed requests by degradation-ladder tier;
 	// the four values sum to Completed. BrownoutEnabled mirrors
 	// Config.Brownout so orchestrators can tell "will answer at reduced
